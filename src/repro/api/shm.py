@@ -42,11 +42,15 @@ Lifetime
   the droppings of a worker killed inside a publish.  Committed
   segments are live artifacts and are left to the owner's close.
 
-Segments created or attached here are explicitly unregistered from
-Python's ``multiprocessing.resource_tracker``: the tracker would
-otherwise unlink a shared segment when *any* attaching process exits
-(and warn about it), which is exactly wrong for a cross-process cache.
-Cleanup is this module's job, not the tracker's.
+Segments stay out of Python's ``multiprocessing.resource_tracker``: the
+tracker would otherwise unlink a shared segment when *any* attaching
+process exits (and warn about it), which is exactly wrong for a
+cross-process cache.  Cleanup is this module's job, not the tracker's.
+A publisher unregisters its segment right after the commit; attaches
+never register at all (:class:`_MappedSegment` maps the ``/dev/shm``
+file directly).  Processes sharing one tracker would otherwise
+register a name once between them and unregister it once each, and
+the second unregister prints a ``KeyError`` traceback from the tracker.
 
 :class:`TieredArtifactStore` composes the tiers — reads go shm → disk
 (promoting disk hits into shm), writes go to both (disk stays the
@@ -62,6 +66,7 @@ from __future__ import annotations
 import atexit
 import hashlib
 import json
+import mmap
 import os
 import struct
 import threading
@@ -138,6 +143,35 @@ def _untrack(seg: shared_memory.SharedMemory) -> None:
         resource_tracker.unregister(seg._name, "shared_memory")
     except Exception:  # pragma: no cover - tracker internals moved
         pass
+
+
+class _MappedSegment:
+    """An existing segment mapped read-write, unknown to the tracker.
+
+    The attach-side stand-in for ``SharedMemory(name=...)``, which
+    registers every attach with the resource tracker: same ``buf`` and
+    ``close`` contract (``close`` raises ``BufferError`` while views of
+    ``buf`` are alive).
+    """
+
+    __slots__ = ("name", "buf", "_mmap")
+
+    def __init__(self, name: str) -> None:
+        fd = os.open(os.path.join(_SHM_DIR, name), os.O_RDWR)
+        try:
+            self._mmap = mmap.mmap(fd, os.fstat(fd).st_size)
+        finally:
+            os.close(fd)
+        self.name = name
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        if self.buf is not None:
+            self.buf.release()
+            self.buf = None
+        if self._mmap is not None:
+            self._mmap.close()
+            self._mmap = None
 
 
 def _store_token(root: str) -> str:
@@ -337,12 +371,11 @@ class SharedMemoryStore(ArtifactStore):
         from a crashed publisher is unlinked and the publish retried
         once."""
         try:
-            seg = shared_memory.SharedMemory(name=name)
+            seg = _MappedSegment(name)
         except FileNotFoundError:
             if retried:
                 return False
             return self._publish(name, namespace, key, value, retried=True)
-        _untrack(seg)
         committed = bytes(seg.buf[0:8]) == _MAGIC
         seg.close()
         if committed:
@@ -395,10 +428,9 @@ class SharedMemoryStore(ArtifactStore):
             if att is not None and not att.retired:
                 return att
         try:
-            seg = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
+            seg = _MappedSegment(name)
+        except (FileNotFoundError, OSError, ValueError):
             return None
-        _untrack(seg)
         with self._lock:
             current = self._attached.get(name)
             if current is not None and not current.retired:
@@ -436,10 +468,9 @@ class SharedMemoryStore(ArtifactStore):
         """Whether a committed segment for this key exists right now."""
         name = self.segment_name(namespace, key)
         try:
-            seg = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
+            seg = _MappedSegment(name)
+        except (FileNotFoundError, OSError, ValueError):
             return False
-        _untrack(seg)
         committed = bytes(seg.buf[0:8]) == _MAGIC
         seg.close()
         return committed
@@ -534,10 +565,9 @@ class SharedMemoryStore(ArtifactStore):
 
     def _segment_namespace(self, name: str) -> Optional[str]:
         try:
-            seg = shared_memory.SharedMemory(name=name)
-        except (FileNotFoundError, OSError):
+            seg = _MappedSegment(name)
+        except (FileNotFoundError, OSError, ValueError):
             return None
-        _untrack(seg)
         try:
             if bytes(seg.buf[0:8]) != _MAGIC:
                 return None

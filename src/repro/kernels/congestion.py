@@ -16,13 +16,18 @@ other congestion consumer) needs about the network state of a mapping:
 
 The batched-candidate kernel :meth:`CongestionModel.evaluate_swaps` is
 the performance headline: it scores all ≤Δ BFS-ordered swap partners of
-a task in one shot — old-route deltas gathered from the table, new
-routes for *all* candidates enumerated in a single ``routes_bulk``
-call — instead of two route enumerations per candidate.  The accept /
-reject verdicts reproduce the scalar :meth:`swap_improves` arithmetic
-exactly (same unique-link deltas, same MC/AC comparisons, same
-epsilons), so refinement trajectories are unchanged; with the repo's
-integer communication volumes the equality is bit-exact.
+a task in one shot.  Old-route deltas are gathered from the edge table;
+the moved edges' new routes are looked up in the *allocated-pair* route
+table — the static routes of every ordered pair of the nodes Γ
+occupies, built once per (torus, allocation) with ``routes_bulk`` and
+shared through the ``route_table`` cache namespace — so a candidate
+batch enumerates no route at all (above the pair table's size bound it
+falls back to one ``routes_bulk`` call per batch).  The accept / reject
+verdicts of all candidates come from one array pass that reproduces the
+scalar :meth:`_verdict` arithmetic exactly (same unique-link deltas,
+same MC/AC comparisons, same epsilons), so refinement trajectories are
+unchanged; with the repo's integer communication volumes the equality
+is bit-exact.
 
 Staleness contract: the route table and the load arrays are *never*
 stale — they are updated on every commit.  The ``commTasks`` index is
@@ -36,17 +41,34 @@ halves of the contract.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.kernels.backend import get_backend
-from repro.topology.routing import RouteTable, _ranges, routes_bulk
+from repro.topology.routing import (
+    DeadEndpointError,
+    RouteTable,
+    UnroutableError,
+    _ranges,
+    routes_bulk,
+    shared_route_table,
+)
 from repro.topology.torus import Torus3D
 
 __all__ = ["CongestionModel"]
 
 _EPS = 1e-9
+
+#: Largest allocated-pair route table built, as an upper bound on its
+#: link entries (``P² · (diameter + 1)`` for P allocated nodes): 2 Mi
+#: int64 entries = 16 MiB.  Larger allocations enumerate each candidate
+#: batch's routes with ``routes_bulk`` instead.
+_PAIR_TABLE_MAX_ENTRIES = 1 << 21
+
+#: Key spaces up to this size are deduplicated with a dense presence
+#: mask instead of a sort (``K·m`` candidate edges, ``K·nl`` links).
+_DENSE_MAX_KEYS = 1 << 15
 
 
 def _gather_segments(
@@ -54,6 +76,60 @@ def _gather_segments(
 ) -> np.ndarray:
     """Concatenate ``data[starts[i]:starts[i]+counts[i]]`` segments."""
     return data[np.repeat(starts, counts) + _ranges(counts)]
+
+
+def _distinct(keys: np.ndarray, space: int) -> np.ndarray:
+    """``np.unique(keys)`` for keys in ``[0, space)``."""
+    if space > _DENSE_MAX_KEYS:
+        return np.unique(keys)
+    present = np.zeros(space, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present)
+
+
+def _key_sums(keys: np.ndarray, space: int, *weights: np.ndarray):
+    """Sorted distinct *keys* (in ``[0, space)``) and per-key weight sums.
+
+    Each key's weights are added in input order (``np.bincount``), and a
+    key whose weights cancel keeps its entry — exactly what
+    ``np.unique(return_inverse=True)`` + ``bincount`` yields.
+    """
+    if space > _DENSE_MAX_KEYS:
+        uniq, inv = np.unique(keys, return_inverse=True)
+        n = uniq.shape[0]
+        return (uniq,) + tuple(
+            np.bincount(inv, weights=w, minlength=n) for w in weights
+        )
+    uniq = _distinct(keys, space)
+    return (uniq,) + tuple(
+        np.bincount(keys, weights=w, minlength=space)[uniq] for w in weights
+    )
+
+
+def _allocated_pair_routes(
+    torus: Torus3D, nodes: np.ndarray, cache=None
+) -> Optional[RouteTable]:
+    """Static routes of every ordered pair of *nodes*, or ``None``.
+
+    Pair ``i * P + j`` holds the route ``nodes[i] -> nodes[j]`` (P =
+    ``len(nodes)``; diagonal pairs are empty).  The table is built with
+    ``routes_bulk`` — degraded tori keep their BFS detours — and goes
+    through :func:`~repro.topology.routing.shared_route_table`, whose
+    content key covers the endpoints and the torus's fault arrays, so
+    UMC and UMMC refining one placement share it.  ``None`` above
+    :data:`_PAIR_TABLE_MAX_ENTRIES`, or when some pair cannot be routed
+    (the caller then routes per batch and meets the error only if a
+    swap really needs that pair).
+    """
+    p = int(nodes.shape[0])
+    if p * p * (torus.diameter + 1) > _PAIR_TABLE_MAX_ENTRIES:
+        return None
+    try:
+        return shared_route_table(
+            torus, np.repeat(nodes, p), np.tile(nodes, p), cache
+        )
+    except (DeadEndpointError, UnroutableError):
+        return None
 
 
 class CongestionModel:
@@ -72,8 +148,14 @@ class CongestionModel:
         tracks message counts (``UMMC`` hands in multiplicity weights).
     route_table:
         Optional pre-built :class:`RouteTable` for ``gamma``'s endpoint
-        pairs (e.g. shared through the API's artifact cache).  The model
-        copies it, so cached tables stay pristine.
+        pairs.  The model copies it, so the caller's table stays
+        pristine.
+    cache:
+        Optional :class:`~repro.api.cache.ArtifactCache`: the initial
+        edge route table (when *route_table* is not given) and the
+        allocated-pair route table come from its ``route_table``
+        namespace, so algorithms refining the same placement — UMC and
+        UMMC of one ``map_batch`` — route it once.
     refresh_interval:
         Commits between ``commTasks`` index refreshes (the reference
         implementation's rebuild cadence; the pop order of Algorithm 3
@@ -90,6 +172,7 @@ class CongestionModel:
         *,
         metric: str = "volume",
         route_table: RouteTable | None = None,
+        cache=None,
         refresh_interval: int = 8,
     ) -> None:
         if metric not in ("volume", "message"):
@@ -121,17 +204,23 @@ class CongestionModel:
         np.cumsum(counts, out=self._inc_ptr[1:])
         self._inc_ids = eids[order]
 
+        owned = route_table is None and cache is None
         if route_table is None:
-            route_table = RouteTable.build(
-                torus, self.gamma[self.src_t], self.gamma[self.dst_t]
+            route_table = shared_route_table(
+                torus, self.gamma[self.src_t], self.gamma[self.dst_t], cache
             )
-        else:
-            route_table = route_table.copy()
-        self.routes = route_table
-        #: Per-candidate deltas stashed by the last ``evaluate_swaps``
-        #: batch so the winning candidate's commit can reuse them
-        #: instead of re-deriving (one ``routes_bulk`` saved per
-        #: commit); invalidated by every committed swap.
+        # A table from the caller or the cache is shared: keep it pristine.
+        self.routes = route_table if owned else route_table.copy()
+        # Swaps only permute Γ's values, so every route a candidate can
+        # need runs between two of the nodes Γ occupies now.
+        nodes = np.unique(self.gamma)
+        self._pair_routes = _allocated_pair_routes(torus, nodes, cache)
+        self._pair_slot = np.full(torus.num_nodes, -1, dtype=np.int64)
+        self._pair_slot[nodes] = np.arange(nodes.shape[0])
+        self._pair_stride = nodes.shape[0]
+        #: Raw arrays of the last ``evaluate_swaps`` batch; a commit of
+        #: one of its candidates slices its payload out of them instead
+        #: of re-deriving.  Invalidated by every committed swap.
         self._eval_stash = None
         self._refresh_comm_index()  # also accumulates msgs/vols
 
@@ -222,6 +311,28 @@ class CongestionModel:
         a = self._inc_ids[self._inc_ptr[t1] : self._inc_ptr[t1 + 1]]
         b = self._inc_ids[self._inc_ptr[t2] : self._inc_ptr[t2 + 1]]
         return np.unique(np.concatenate([a, b]))
+
+    def _pair_lookup(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``routes_bulk``-shaped ``(links, msg)`` of node pairs ``src -> dst``.
+
+        Read from the allocated-pair table (entries come pair-major,
+        each route in traversal order); enumerated with ``routes_bulk``
+        when the allocation is above the table's size bound.  On a
+        healthy torus both orders list one link's bucket by message id
+        (a link has one dimension and a static route crosses it at most
+        once), so per-link accumulations come out identical.  (On a
+        degraded torus ``routes_bulk`` appends detoured routes last;
+        integer volumes sum exactly in either order.)
+        """
+        table = self._pair_routes
+        if table is None:
+            return routes_bulk(self.torus, src, dst)
+        links, counts = table.gather(
+            self._pair_slot[src] * self._pair_stride + self._pair_slot[dst]
+        )
+        return links, np.repeat(np.arange(counts.shape[0], dtype=np.int64), counts)
 
     def _swap_route_delta(self, t1: int, t2: int):
         """Deltas and replacement segments of swapping ``Γ[t1] ↔ Γ[t2]``.
@@ -382,8 +493,12 @@ class CongestionModel:
         (:meth:`swap_improves`, K=1) and the batched Δ-kernel
         (:meth:`evaluate_swaps`) both land here, so within one process
         the two paths always share the exact same arithmetic — native
-        when the kernel backend carries a compiled ``verdicts``, the
-        per-candidate :meth:`_verdict` reference otherwise.
+        when the kernel backend carries a compiled ``verdicts``, one
+        NumPy pass over all K candidates otherwise.  Both reproduce the
+        per-candidate :meth:`_verdict` oracle: the changed-link maxima
+        come from ``np.maximum.reduceat``, the unchanged-link maxima of
+        candidates that move the ``top`` link from one masked K×nl
+        matrix, and only equal-MC ties take a per-candidate AC step.
         """
         fn = get_backend().verdicts
         if fn is not None:
@@ -406,11 +521,51 @@ class CongestionModel:
             )
         K = bounds.shape[0] - 1
         out = np.zeros(K, dtype=bool)
-        for k in range(K):
-            s, e = bounds[k], bounds[k + 1]
-            out[k] = self._verdict(
-                ul[s:e], dm[s:e], dv[s:e], load, mc, ac, top, total_base, base_used
+        sizes = np.diff(bounds)
+        live = sizes > 0
+        if not live.any():
+            return out
+        volume = self.metric == "volume"
+        owner = np.repeat(np.arange(K, dtype=np.int64), sizes)
+        inv_bw = self._inv_bw[ul]
+        new_changed = self.vols[ul] + dv
+        if volume:
+            new_changed *= inv_bw
+        new_mc = np.zeros(K)
+        new_mc[live] = np.maximum.reduceat(new_changed, bounds[:-1][live])
+        # Max over unchanged links: load[top] unless the candidate moves
+        # top, then one masked row of the load vector per such candidate.
+        max_unchanged = np.full(K, load[top])
+        touched = np.zeros(K, dtype=bool)
+        touched[owner[ul == top]] = True
+        if touched.any():
+            rows = np.flatnonzero(touched)
+            masked = np.tile(load, (rows.shape[0], 1))
+            hit = touched[owner]
+            row_of = np.cumsum(touched) - 1
+            masked[row_of[owner[hit]], ul[hit]] = -np.inf
+            max_unchanged[rows] = np.where(
+                sizes[rows] < load.shape[0], masked.max(axis=1), 0.0
             )
+        np.maximum(new_mc, max_unchanged, out=new_mc)
+        out[live] = new_mc[live] < mc - _EPS
+        ties = np.flatnonzero(live & ~out & (new_mc <= mc + _EPS))
+        if ties.size == 0:
+            return out
+        # Equal MC: accept on AC improvement.  The used-link count only
+        # changes on the touched links; each total keeps np.sum's
+        # pairwise order over the candidate's own slice (the bandwidth
+        # weights make these sums inexact).
+        seg = self.msgs[ul]
+        flips = (seg + dm > _EPS).astype(np.int64) - (seg > _EPS)
+        used_delta = np.bincount(owner, weights=flips, minlength=K)
+        terms = dv * inv_bw if volume else dv
+        for k in ties.tolist():
+            s, e = bounds[k], bounds[k + 1]
+            used_new = base_used + int(used_delta[k])
+            total_new = total_base + float(terms[s:e].sum())
+            new_ac = total_new / used_new if used_new else 0.0
+            out[k] = new_ac < ac - _EPS
         return out
 
     # ------------------------------------------------------------------
@@ -420,13 +575,13 @@ class CongestionModel:
         """Score swapping *t1* against every candidate in one shot.
 
         Returns ``bool[K]`` — candidate *k*'s verdict equals
-        ``swap_improves(t1, cands[k])`` — with one ``routes_bulk`` call
-        for all candidates' moved edges (old-route deltas are gathered
-        from the cached table) instead of two enumerations per
-        candidate.  The per-candidate deltas and replacement segments
-        are stashed so a following :meth:`commit_swap` of any candidate
-        reuses them instead of re-deriving (zero routing work per
-        commit).
+        ``swap_improves(t1, cands[k])``.  Old-route deltas are gathered
+        from the cached edge table and the moved edges' new routes from
+        the allocated-pair table, so the batch enumerates no route (one
+        ``routes_bulk`` call above the pair table's size bound).  The
+        batch's raw arrays are stashed; a following :meth:`commit_swap`
+        of any candidate slices its payload out of them instead of
+        re-deriving.
         """
         self._eval_stash = None
         cands = np.asarray(cands, dtype=np.int64)
@@ -449,9 +604,9 @@ class CongestionModel:
                 np.repeat(ks, cnt2) * m + e2,
             ]
         )
-        comp = np.unique(comp)
+        comp = _distinct(comp, K * m)
         k_of = comp // m
-        e_of = comp % m
+        e_of = comp - k_of * m
 
         # -- old-route deltas from the cached segments -----------------
         r_lo = self.routes.ptr[e_of]
@@ -460,7 +615,7 @@ class CongestionModel:
         old_k = np.repeat(k_of, r_cnt)
         old_vol = np.repeat(self.vol[e_of], r_cnt)
 
-        # -- new routes: one bulk enumeration over all candidates ------
+        # -- new routes of all candidates' moved edges -----------------
         n1 = int(self.gamma[t1])
         n2 = self.gamma[cands]  # per candidate
         s_tasks = self.src_t[e_of]
@@ -473,9 +628,9 @@ class CongestionModel:
             d_tasks == t1, n2[k_of], np.where(d_tasks == c_k, n1, self.gamma[d_tasks])
         )
         keep = new_src != new_dst
-        links_n, msg_n = routes_bulk(self.torus, new_src[keep], new_dst[keep])
+        links_n, msg_n = self._pair_lookup(new_src[keep], new_dst[keep])
         new_k = k_of[keep][msg_n]
-        new_vol = self.vol[e_of][keep][msg_n]
+        new_vol = self.vol[e_of[keep]][msg_n]
 
         # -- per-(candidate, link) sparse deltas -----------------------
         comp_links = np.concatenate([old_k * nl + old_links, new_k * nl + links_n])
@@ -488,26 +643,10 @@ class CongestionModel:
             ]
         )
         d_vol = np.concatenate([-old_vol, new_vol])
-        uniq, inv = np.unique(comp_links, return_inverse=True)
-        dm = np.bincount(inv, weights=d_msg, minlength=uniq.shape[0])
-        dv = np.bincount(inv, weights=d_vol, minlength=uniq.shape[0])
+        uniq, dm, dv = _key_sums(comp_links, K * nl, d_msg, d_vol)
         uk = uniq // nl
-        ul = uniq % nl
+        ul = uniq - uk * nl
         bounds = np.searchsorted(uk, np.arange(K + 1))
-
-        # -- stash per-candidate commit payloads -----------------------
-        # Everything a commit needs is already here: the unique-link
-        # deltas per candidate (``ul``/``dm``/``dv`` sliced by
-        # ``bounds``) and the replacement CSR segments, reordered
-        # pair-major exactly like ``_swap_route_delta`` builds them.
-        # The slices reproduce the scalar derivation bit for bit — same
-        # unique-link order, same bincount accumulation order.
-        order_n = np.argsort(msg_n, kind="stable")
-        kept_total = int(keep.sum())
-        kept_counts = np.bincount(msg_n, minlength=kept_total)
-        msg_ptr = np.zeros(kept_total + 1, dtype=np.int64)
-        np.cumsum(kept_counts, out=msg_ptr[1:])
-        kept_k = k_of[keep]
         self._eval_stash = {
             "t1": int(t1),
             "cands": cands,
@@ -515,16 +654,14 @@ class CongestionModel:
             "dm": dm,
             "dv": dv,
             "bounds": bounds,
+            "k_of": k_of,
             "e_of": e_of,
-            "edge_bounds": np.searchsorted(k_of, np.arange(K + 1)),
-            "kept_e": e_of[keep],
-            "kept_counts": kept_counts,
-            "msg_bounds": np.searchsorted(kept_k, np.arange(K + 1)),
-            "msg_ptr": msg_ptr,
-            "sorted_new_links": links_n[order_n],
+            "keep": keep,
+            "links_n": links_n,
+            "msg_n": msg_n,
         }
 
-        # -- verdicts (accept rule per candidate; K ≤ Δ) ---------------
+        # -- verdicts (accept rule of all K ≤ Δ candidates) ------------
         load, mc, ac, top, total_base, base_used = self._probe_context()
         return self._verdicts(
             ul, dm, dv, bounds, load, mc, ac, top, total_base, base_used
@@ -537,9 +674,11 @@ class CongestionModel:
         """The last ``evaluate_swaps`` batch's payload for (t1, t2), if any.
 
         Returns the same six-tuple ``_swap_route_delta`` derives —
-        unique-link deltas plus replacement CSR segments — sliced out of
-        the stashed batch, or ``None`` when the pair was not in the
-        batch (the scalar probe path, or a foreign swap).
+        unique-link deltas plus replacement CSR segments (pair-major,
+        each route in traversal order) — sliced out of the stashed
+        batch, or ``None`` when the pair was not in the batch (the
+        scalar probe path, or a foreign swap).  The slicing runs here,
+        on a commit, rather than on every batch.
         """
         stash = self._eval_stash
         if stash is None or stash["t1"] != int(t1):
@@ -549,22 +688,24 @@ class CongestionModel:
             return None
         k = int(hit[0])
         s, e = int(stash["bounds"][k]), int(stash["bounds"][k + 1])
-        es, ee = int(stash["edge_bounds"][k]), int(stash["edge_bounds"][k + 1])
+        es, ee = np.searchsorted(stash["k_of"], [k, k + 1])
         edges = stash["e_of"][es:ee]
-        ms, me = int(stash["msg_bounds"][k]), int(stash["msg_bounds"][k + 1])
-        new_links = stash["sorted_new_links"][
-            stash["msg_ptr"][ms] : stash["msg_ptr"][me]
-        ]
+        keep = stash["keep"]
+        kept = keep[es:ee]
+        # Messages are numbered over the kept edges of all candidates.
+        ms = int(np.count_nonzero(keep[:es]))
+        me = ms + int(np.count_nonzero(kept))
+        msg_n = stash["msg_n"]
+        sel = np.flatnonzero((msg_n >= ms) & (msg_n < me))
+        sel = sel[np.argsort(msg_n[sel], kind="stable")]
         new_counts = np.zeros(edges.shape[0], dtype=np.int64)
-        if me > ms:
-            pos = np.searchsorted(edges, stash["kept_e"][ms:me])
-            new_counts[pos] = stash["kept_counts"][ms:me]
+        new_counts[kept] = np.bincount(msg_n[sel] - ms, minlength=me - ms)
         return (
             stash["ul"][s:e],
             stash["dm"][s:e],
             stash["dv"][s:e],
             edges,
-            new_links,
+            stash["links_n"][sel],
             new_counts,
         )
 
@@ -577,8 +718,8 @@ class CongestionModel:
         ``commTasks`` index refreshes on its cadence — nothing is ever
         re-enumerated from scratch.  When the swap was scored by the
         preceding :meth:`evaluate_swaps` batch, the winning candidate's
-        deltas and replacement segments are reused verbatim, eliding
-        even the single ``routes_bulk`` pass ``_swap_route_delta`` would
+        deltas and replacement segments are sliced from that batch,
+        eliding the ``routes_bulk`` pass ``_swap_route_delta`` would
         spend.
         """
         payload = self._stashed_commit_payload(t1, t2)

@@ -236,8 +236,9 @@ def verdicts(
 ):
     """Batched Algorithm-3 accept rule — one candidate per ``bounds`` slice.
 
-    Replaces the per-candidate Python loop over ``CongestionModel.
-    _verdict`` (~10 small NumPy calls each) with one compiled pass.
+    The compiled counterpart of the NumPy pass in ``CongestionModel.
+    _verdicts``: one loop per candidate, same arithmetic as the scalar
+    ``_verdict`` oracle (AC totals keep ``np.sum``'s pairwise order).
     ``ul`` slices are sorted ascending (``np.unique`` order), which the
     unchanged-links max exploits via a merge walk.
     """

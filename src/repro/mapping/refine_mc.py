@@ -34,7 +34,6 @@ from repro.kernels.congestion import CongestionModel
 from repro.mapping.base import Mapping, validate_mapping
 from repro.mapping.bfs import bfs_node_levels
 from repro.topology.machine import Machine
-from repro.topology.routing import RouteTable, shared_route_table
 
 __all__ = ["MCRefiner"]
 
@@ -97,10 +96,10 @@ class MCRefiner:
         or AC is improved" outer loop.
 
         When an :class:`~repro.api.cache.ArtifactCache` is passed, the
-        initial route table is fetched from (or seeded into) its
-        ``route_table`` namespace, so algorithms routing the same
-        endpoints — UMC and UMMC of one ``map_batch`` — enumerate them
-        once.
+        initial route table and the allocated-pair route table are
+        fetched from (or seeded into) its ``route_table`` namespace, so
+        algorithms routing the same endpoints — UMC and UMMC of one
+        ``map_batch`` — enumerate them once.
         """
         machine = mapping.machine
         state = _CongestionState(
@@ -108,7 +107,7 @@ class MCRefiner:
             machine,
             mapping.gamma.copy(),
             self.metric,
-            route_table=self._shared_route_table(task_graph, mapping, cache),
+            cache=cache,
         )
         gm = machine.graph()
         sym = task_graph.symmetrized()
@@ -139,21 +138,6 @@ class MCRefiner:
                 break  # no loaded link can be improved -> stop
         validate_mapping(state.gamma, machine, weights)
         return Mapping(state.gamma, machine)
-
-    @staticmethod
-    def _shared_route_table(
-        task_graph: TaskGraph, mapping: Mapping, cache
-    ) -> Optional[RouteTable]:
-        """Initial-route sharing through the artifact cache (optional)."""
-        if cache is None:
-            return None  # the model builds its own private table
-        src_t, dst_t, _ = task_graph.graph.edge_list()
-        return shared_route_table(
-            mapping.machine.torus,
-            mapping.gamma[src_t.astype(np.int64)],
-            mapping.gamma[dst_t.astype(np.int64)],
-            cache,
-        )
 
     def _find_swap(
         self,
@@ -218,7 +202,7 @@ class _CongestionState(CongestionModel):
         gamma: np.ndarray,
         metric: str,
         *,
-        route_table: Optional[RouteTable] = None,
+        cache=None,
     ) -> None:
         self.tg = task_graph
         self.machine = machine
@@ -230,5 +214,5 @@ class _CongestionState(CongestionModel):
             vol,
             gamma,
             metric=metric,
-            route_table=route_table,
+            cache=cache,
         )

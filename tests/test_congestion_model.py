@@ -12,13 +12,21 @@ The contract of :class:`repro.kernels.congestion.CongestionModel`
   ``routes_bulk`` rebuild (content *and* task pop order);
 * the batched Δ-candidate kernel returns exactly the scalar
   ``swap_improves`` verdicts, so both refiner paths commit identical
-  swap sequences.
+  swap sequences;
+* the allocated-pair route lookup returns ``routes_bulk``'s routes
+  segment by segment (healthy, degraded, and above the table's size
+  bound), and the one-pass NumPy verdicts equal the per-candidate
+  ``_verdict`` oracle.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.kernels.congestion as congestion_mod
 from repro.graph.task_graph import TaskGraph
+from repro.kernels.backend import use_backend
 from repro.kernels.congestion import CongestionModel
 from repro.mapping.base import Mapping
 from repro.mapping.refine_mc import MCRefiner, _CongestionState
@@ -290,11 +298,11 @@ class TestCommitReusesEvaluatedDeltas:
             assert np.array_equal(model.routes.links, fresh.routes.links)
 
     def test_commit_after_evaluate_enumerates_no_routes(self, monkeypatch):
-        """The winning candidate's commit performs zero ``routes_bulk`` calls."""
-        import repro.kernels.congestion as congestion_mod
-
+        """With the pair table built, neither the batch nor the winning
+        candidate's commit performs a ``routes_bulk`` call."""
         tg, machine, gamma = make_instance(90)
         model = model_for(tg, machine, gamma, "volume")
+        assert model._pair_routes is not None
         calls = []
         real = congestion_mod.routes_bulk
 
@@ -307,14 +315,14 @@ class TestCommitReusesEvaluatedDeltas:
         t1 = int(rng.integers(0, tg.num_tasks))
         others = np.setdiff1d(np.arange(tg.num_tasks), [t1])
         cands = rng.choice(others, size=6, replace=False).astype(np.int64)
-        model.evaluate_swaps(t1, cands)  # one bulk enumeration
-        assert len(calls) == 1
-        model.commit_swap(t1, int(cands[2]))  # reuses the stashed deltas
-        assert len(calls) == 1
+        model.evaluate_swaps(t1, cands)  # routes read from the pair table
+        assert len(calls) == 0
+        model.commit_swap(t1, int(cands[2]))  # reuses the stashed batch
+        assert len(calls) == 0
         # A swap outside the evaluated batch still derives its own.
         a, b = (int(x) for x in rng.choice(tg.num_tasks, 2, replace=False))
         model.commit_swap(a, b)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_stash_invalidated_by_commit(self):
         tg, machine, gamma = make_instance(91)
@@ -359,9 +367,10 @@ class TestSharedRouteTable:
         plain = MCRefiner().refine(tg, start).gamma
         first = MCRefiner().refine(tg, start, cache=cache).gamma
         stats = cache.stats("route_table")
-        assert stats.misses == 1 and stats.hits == 0
+        # the edge route table and the allocated-pair route table
+        assert stats.misses == 2 and stats.hits == 0
         second = MCRefiner(metric="message").refine(tg, start, cache=cache).gamma
-        assert cache.stats("route_table").hits == 1
+        assert cache.stats("route_table").hits == 2
         assert np.array_equal(plain, first)
         # message-metric refinement on the same endpoints reuses the
         # table; its own result must equal the uncached run too.
@@ -375,3 +384,221 @@ class TestSharedRouteTable:
         assert isinstance(state, CongestionModel)
         mc, ac = state.current_mc_ac()
         assert mc >= 0.0 and ac >= 0.0
+
+
+def random_batch(model, n_tasks, rng):
+    """A random (t1, ≤8 candidates) batch, as the refiner would probe."""
+    t1 = int(rng.integers(0, n_tasks))
+    others = np.setdiff1d(np.arange(n_tasks), [t1])
+    size = int(rng.integers(1, min(8, others.size) + 1))
+    return t1, rng.choice(others, size=size, replace=False).astype(np.int64)
+
+
+def degraded(machine, rng, count=3):
+    """*machine* with *count* dead links taken from live routes."""
+    nodes = np.asarray(machine.alloc_nodes, dtype=np.int64)
+    links, _ = routes_bulk(
+        machine.torus, np.repeat(nodes, nodes.size), np.tile(nodes, nodes.size)
+    )
+    dead = rng.choice(np.unique(links), size=count, replace=False)
+    return machine.degrade(dead_links=dead.tolist()), dead
+
+
+class TestAllocatedPairRoutes:
+    """The pair-table lookup returns ``routes_bulk``'s routes exactly."""
+
+    @staticmethod
+    def assert_lookup_matches(model, rng, count=96):
+        nodes = np.unique(model.gamma)
+        src = rng.choice(nodes, count)
+        dst = rng.choice(nodes, count)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        links, msg = model._pair_lookup(src, dst)
+        ref_links, ref_msg = routes_bulk(model.torus, src, dst)
+        for i in range(src.shape[0]):
+            np.testing.assert_array_equal(links[msg == i], ref_links[ref_msg == i])
+        return links
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_healthy_torus(self, seed):
+        tg, machine, gamma = make_instance(seed)
+        model = model_for(tg, machine, gamma, "volume")
+        assert model._pair_routes is not None
+        self.assert_lookup_matches(model, np.random.default_rng(seed))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_degraded_torus_keeps_detours(self, seed):
+        tg, machine, gamma = make_instance(seed)
+        rng = np.random.default_rng(seed)
+        faulty, dead = degraded(machine, rng)
+        model = model_for(tg, faulty, gamma, "volume")
+        assert model._pair_routes is not None
+        assert not np.isin(model._pair_routes.links, dead).any()
+        self.assert_lookup_matches(model, rng)
+        # ... and the kernel still reproduces the scalar probe there.
+        for _ in range(6):
+            t1, cands = random_batch(model, tg.num_tasks, rng)
+            batched = model.evaluate_swaps(t1, cands)
+            scalar = [model.swap_improves(t1, int(c)) for c in cands]
+            assert batched.tolist() == scalar
+            model.commit_swap(t1, int(cands[0]))
+
+    def test_pair_table_keyed_by_fault_mask(self):
+        from repro.api.cache import ArtifactCache
+
+        tg, machine, gamma = make_instance(5)
+        faulty, _ = degraded(machine, np.random.default_rng(5))
+        cache = ArtifactCache()
+        healthy = model_for(tg, machine, gamma, "volume", cache=cache)
+        again = model_for(tg, machine, gamma, "message", cache=cache)
+        broken = model_for(tg, faulty, gamma, "volume", cache=cache)
+        assert again._pair_routes is healthy._pair_routes
+        assert broken._pair_routes is not healthy._pair_routes
+        # edge + pair table per torus; the second metric hits both
+        stats = cache.stats("route_table")
+        assert stats.misses == 4 and stats.hits == 2
+
+    @pytest.mark.parametrize("metric", ["volume", "message"])
+    def test_above_size_bound_falls_back(self, metric, monkeypatch):
+        """Past the bound the model enumerates per batch (sort-based
+        dedupe too) and every verdict and commit payload is unchanged."""
+        for seed in range(4):
+            tg, machine, gamma = make_instance(seed + 300, integer_volumes=False)
+            table = model_for(tg, machine, gamma, metric)
+            with monkeypatch.context() as patch:
+                patch.setattr(congestion_mod, "_PAIR_TABLE_MAX_ENTRIES", 0)
+                patch.setattr(congestion_mod, "_DENSE_MAX_KEYS", 0)
+                bulk = model_for(tg, machine, gamma, metric)
+                assert bulk._pair_routes is None
+                rng = np.random.default_rng(seed)
+                self.assert_lookup_matches(bulk, rng)
+                for _ in range(8):
+                    t1, cands = random_batch(table, tg.num_tasks, rng)
+                    assert np.array_equal(
+                        bulk.evaluate_swaps(t1, cands),
+                        table.evaluate_swaps(t1, cands),
+                    )
+                    c = int(cands[-1])
+                    for a, b in zip(
+                        bulk._stashed_commit_payload(t1, c),
+                        table._stashed_commit_payload(t1, c),
+                    ):
+                        assert np.array_equal(a, b)
+                    bulk.commit_swap(t1, c)
+                    table.commit_swap(t1, c)
+            assert np.array_equal(bulk.vols, table.vols)
+            assert np.array_equal(bulk.routes.links, table.routes.links)
+
+
+def crafted_candidates(model, rng, top):
+    """Sorted-unique link slices (ul, dm, dv, bounds) hitting every branch
+    of the accept rule: empty slices, slices through the ``top`` link,
+    equal-MC ties (loads only shrink, ``top`` untouched) and random ones.
+    """
+    nl = model.torus.num_links
+    others = np.setdiff1d(np.arange(nl), [top])
+    ul, dm, dv, bounds = [], [], [], [0]
+    for _ in range(int(rng.integers(1, 9))):
+        kind = rng.choice(["empty", "top", "tie", "random"])
+        size = int(rng.integers(1, 13))
+        if kind == "empty":
+            links = np.empty(0, dtype=np.int64)
+        elif kind == "top":
+            links = np.append(rng.choice(others, size - 1, replace=False), top)
+        else:
+            links = rng.choice(others if kind == "tie" else nl, size, replace=False)
+        links = np.sort(links).astype(np.int64)
+        msgs = model.msgs[links]
+        if kind == "tie":
+            d_vol = -rng.uniform(0.0, 1.0, links.size) * model.vols[links]
+            d_msg = np.where(rng.random(links.size) < 0.5, -msgs, 1.0)
+        else:
+            d_vol = rng.normal(0.0, 3.0, links.size)
+            d_msg = rng.integers(-1, 2, links.size).astype(np.float64)
+        ul.append(links)
+        dm.append(d_msg)
+        dv.append(d_vol)
+        bounds.append(bounds[-1] + links.size)
+    return (
+        np.concatenate(ul),
+        np.concatenate(dm),
+        np.concatenate(dv),
+        np.asarray(bounds, dtype=np.int64),
+    )
+
+
+class TestVectorizedVerdicts:
+    """The one-pass NumPy ``_verdicts`` equals the ``_verdict`` oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(model, ul, dm, dv, bounds):
+        ctx = model._probe_context()
+        with use_backend("numpy"):
+            got = model._verdicts(ul, dm, dv, bounds, *ctx)
+        want = [
+            model._verdict(ul[s:e], dm[s:e], dv[s:e], *ctx)
+            for s, e in zip(bounds[:-1], bounds[1:])
+        ]
+        assert got.tolist() == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["volume", "message"]),
+        st.booleans(),
+    )
+    def test_crafted_candidates(self, seed, metric, integer_volumes):
+        tg, machine, gamma = make_instance(seed, integer_volumes=integer_volumes)
+        model = model_for(tg, machine, gamma, metric)
+        rng = np.random.default_rng(seed)
+        random_swaps(model, tg.num_tasks, rng, 3)
+        top = model._probe_context()[3]
+        for _ in range(4):
+            self.assert_matches_oracle(
+                model, *crafted_candidates(model, rng, top)
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["volume", "message"]),
+        st.booleans(),
+    )
+    def test_evaluated_batches(self, seed, metric, integer_volumes):
+        """Real candidate deltas, as ``evaluate_swaps`` stashes them."""
+        tg, machine, gamma = make_instance(seed, integer_volumes=integer_volumes)
+        model = model_for(tg, machine, gamma, metric)
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            t1, cands = random_batch(model, tg.num_tasks, rng)
+            model.evaluate_swaps(t1, cands)
+            stash = model._eval_stash
+            if stash is not None:
+                self.assert_matches_oracle(
+                    model, stash["ul"], stash["dm"], stash["dv"], stash["bounds"]
+                )
+            model.commit_swap(t1, int(cands[0]))
+
+    def test_ties_take_the_ac_step(self):
+        """Tie-only batches: MC stays put, so AC decides every verdict."""
+        for seed in range(10):
+            tg, machine, gamma = make_instance(seed, integer_volumes=False)
+            model = model_for(tg, machine, gamma, "volume")
+            load, mc, _, top, _, _ = model._probe_context()
+            rng = np.random.default_rng(seed)
+            others = np.setdiff1d(np.flatnonzero(load > 0), [top])
+            links = np.sort(rng.choice(others, min(6, others.size), replace=False))
+            ul = np.concatenate([links, links])
+            dv = np.concatenate(
+                [-0.5 * model.vols[links], np.zeros(links.size)]
+            )
+            dm = np.zeros(ul.size)
+            bounds = np.asarray([0, links.size, ul.size], dtype=np.int64)
+            self.assert_matches_oracle(model, ul, dm, dv, bounds)
+            with use_backend("numpy"):
+                got = model._verdicts(ul, dm, dv, bounds, *model._probe_context())
+            # shedding load at equal MC lowers AC; a zero delta does not
+            assert got.tolist() == [True, False]

@@ -23,12 +23,16 @@ from __future__ import annotations
 import gc
 import os
 import struct
+import subprocess
+import sys
+import textwrap
 import time
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
     DiskArtifactStore,
     ExecutorPool,
@@ -274,6 +278,75 @@ class TestSharedMemoryStore:
         finally:
             writer.close()
         assert _token_segments(writer) == []
+
+    def test_two_process_attach_leaves_tracker_silent(self, tmp_path):
+        """Attaching registers nothing with the shared resource tracker.
+
+        Two forked readers share their parent's tracker and line up
+        every tracker unregister behind a barrier: the interleaving in
+        which attach-time register/unregister pairs make the tracker
+        print ``KeyError: '/rpr…'`` tracebacks.  Nothing may reach the
+        tracker's stderr (inherited from the script).
+        """
+        script = textwrap.dedent(
+            """
+            import multiprocessing as mp
+            import sys
+            import threading
+
+            import numpy as np
+            from multiprocessing import resource_tracker
+
+            from repro.api.shm import SharedMemoryStore
+
+            def reader(root, barrier):
+                real = resource_tracker.unregister
+
+                def lined_up(name, rtype):
+                    try:
+                        barrier.wait(timeout=5)
+                    except threading.BrokenBarrierError:
+                        pass
+                    real(name, rtype)
+
+                resource_tracker.unregister = lined_up
+                store = SharedMemoryStore(root, owner=False)
+                value = store.load("grouping", "k")
+                ok = store.contains("grouping", "k") and np.array_equal(
+                    value, np.arange(64)
+                )
+                del value
+                store.close()
+                sys.exit(0 if ok else 1)
+
+            if __name__ == "__main__":
+                ctx = mp.get_context("fork")
+                owner = SharedMemoryStore(sys.argv[1], owner=True)
+                owner.save("grouping", "k", np.arange(64))
+                barrier = ctx.Barrier(2)
+                procs = [
+                    ctx.Process(target=reader, args=(sys.argv[1], barrier))
+                    for _ in range(2)
+                ]
+                for p in procs:
+                    p.start()
+                for p in procs:
+                    p.join(30)
+                owner.close()
+                sys.exit(max(p.exitcode for p in procs))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def _orphan(self, store, namespace, key, nbytes=256):
         """Plant an *uncommitted* segment — a mid-publish crash corpse."""
